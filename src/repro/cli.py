@@ -66,12 +66,13 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, Hashable, List, Optional
 
 from .analysis import profile_database, profile_family
 from .bench.figures import FIGURES, run_figure
 from .bench.plotting import render_figure
 from .data.arff import read_arff, write_arff
+from .data.database import TransactionDatabase
 from .data.io import LoadReport, read_fimi, write_fimi
 from .datasets import DATASETS, load
 from .kernels import (
@@ -807,8 +808,31 @@ def _command_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _file_labels(db: TransactionDatabase) -> TransactionDatabase:
+    """``db`` with each tuple label joined into one token (``g48+``).
+
+    FIMI and ARFF name an item by one token, and a generator's
+    ``(gene, sign)`` label would be written as ``('g48', '+')``, which
+    does not read back as one item.  A rendering that maps two labels
+    to one string is refused.
+    """
+    rendered = [
+        "".join(str(part) for part in label) if isinstance(label, tuple) else label
+        for label in db.item_labels
+    ]
+    owners: Dict[str, Hashable] = {}
+    for label, text in zip(db.item_labels, rendered):
+        owner = owners.setdefault(str(text), label)
+        if owner != label:
+            raise ValueError(
+                f"item labels {owner!r} and {label!r} would both be "
+                f"written as {str(text)!r}"
+            )
+    return TransactionDatabase(db.transactions, db.n_items, rendered)
+
+
 def _command_gen(args: argparse.Namespace) -> int:
-    db = load(args.dataset, **_parse_options(args.option))
+    db = _file_labels(load(args.dataset, **_parse_options(args.option)))
     if args.output.lower().endswith(".arff"):
         write_arff(db, args.output, relation=args.dataset)
     else:

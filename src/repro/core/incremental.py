@@ -25,11 +25,19 @@ points serve that role:
   exactly the union of the closed sets' paths, so the two forms are
   interconvertible without information loss — and a snapshot loads as a
   third, *pending* form that is decoded only when first touched.
+  Reads never build the tree: a pending snapshot decodes to the flat
+  form whatever the first query is, and point queries then run as
+  packed kernel scans over it.  Only an ingest batch that dwarfs the
+  history builds the tree; a miner whose tree is already live (grown by
+  ingest) answers from it with guided descents.
 * **Memoised queries.**  Every query result is cached under a
   generation counter; any mutation bumps the generation and drops the
   cache, so repeated queries against an unchanged repository are
   dictionary lookups.  Query results are therefore returned as
-  read-only mappings.
+  read-only mappings.  :meth:`IncrementalMiner.memoized` extends the
+  same cache to answers derived from the queries: the serving layer
+  keeps the rendered lines of each family answer there, so a family
+  answer is rendered once per generation.
 * **Batched ingest.**  :meth:`extend` applies the paper's Section 3.4
   heuristics per batch — duplicate transactions collapse into one
   weighted update, and the batch is processed in size-ascending,
@@ -53,6 +61,7 @@ from __future__ import annotations
 from itertools import islice
 from types import MappingProxyType
 from typing import (
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -157,6 +166,11 @@ class IncrementalMiner:
     def item_labels(self) -> Tuple[Hashable, ...]:
         """Item labels in code order (index = item code)."""
         return tuple(self._labels)
+
+    @property
+    def label_codes(self) -> Mapping[Hashable, int]:
+        """Read-only live view of the ``label -> item code`` table."""
+        return MappingProxyType(self._label_to_code)
 
     @property
     def kernel(self):
@@ -365,6 +379,7 @@ class IncrementalMiner:
         tree continues to grow exactly like the original would have.
         """
         if self._tree is None:
+            self._obs.count("serving.materialize.tree")
             with self._obs.phase("serve.materialize", form="tree"):
                 if self._flat is not None:
                     self._tree = PrefixTree.from_closed_family(
@@ -391,6 +406,7 @@ class IncrementalMiner:
     def _ensure_flat(self) -> Dict[int, int]:
         """Materialise the flat ``mask -> support`` closed family."""
         if self._flat is None:
+            self._obs.count("serving.materialize.flat")
             with self._obs.phase("serve.materialize", form="flat"):
                 if self._tree is not None:
                     self._flat = dict(self._tree.report(1))
@@ -409,12 +425,17 @@ class IncrementalMiner:
         return self._flat
 
     def _family_pairs(self, smin: int) -> List[Tuple[int, int]]:
-        """The closed frequent family as ``(mask, support)`` pairs."""
-        if self._flat is not None:
-            if smin == 1:
-                return list(self._flat.items())
-            return [(m, s) for m, s in self._flat.items() if s >= smin]
-        return list(self._ensure_tree().report(smin))
+        """The closed frequent family as ``(mask, support)`` pairs.
+
+        Never builds the tree: a live tree reports its family, anything
+        else (a pending snapshot included) is read from the flat form.
+        """
+        if self._flat is None and self._tree is not None:
+            return list(self._tree.report(smin))
+        flat = self._ensure_flat()
+        if smin == 1:
+            return list(flat.items())
+        return [(m, s) for m, s in flat.items() if s >= smin]
 
     # ------------------------------------------------------------------
     # Label handling
@@ -448,6 +469,24 @@ class IncrementalMiner:
     # ------------------------------------------------------------------
     # Queries (memoised; generation-invalidated)
     # ------------------------------------------------------------------
+
+    def memoized(self, key: tuple, build: Callable[[], object]) -> object:
+        """A value derived from query answers, cached for this generation.
+
+        ``build()`` runs on a miss and its result is kept until the next
+        mutation drops the cache, like every query result.  A hit counts
+        in ``serving.memo.hits``; a miss is counted by the queries that
+        ``build`` runs.  ``key`` shares the query cache's key space, so
+        callers prefix it with their own tag.  The cached value is
+        returned as-is and must not be mutated.
+        """
+        hit = self._memo.get(key)
+        if hit is not None:
+            self._obs.count("serving.memo.hits")
+            return hit
+        value = build()
+        self._memo[key] = value
+        return value
 
     def closed_sets(self, smin: int = 1) -> Mapping[Tuple[Hashable, ...], int]:
         """Closed frequent item sets of everything seen so far.
@@ -484,14 +523,13 @@ class IncrementalMiner:
         The support of any set equals the support of the smallest closed
         superset in the repository (Section 2.3).  A label never seen in
         any transaction short-circuits to support 0 before the
-        repository is touched.  Against a materialised tree the answer
-        comes from the guided descent
-        (:meth:`PrefixTree.superset_support`); against the flat form it
-        is a kernel ``superset_max_support_bounded`` scan over the
-        resident packed family (grown in place across generations, not
-        repacked).  The empty set is
-        contained in every transaction, so its support is the
-        transaction count.
+        repository is touched.  A miner whose tree is live answers by
+        the guided descent (:meth:`PrefixTree.superset_support`); any
+        other (a loaded snapshot, whatever its first query was) by a
+        kernel ``superset_max_support_bounded`` scan over the resident
+        packed family (grown in place across generations, not
+        repacked).  The empty set is contained in every transaction, so
+        its support is the transaction count.
         """
         mask = 0
         for label in items:
@@ -603,9 +641,9 @@ class IncrementalMiner:
         Includes the queried set itself when it is closed and frequent.
         Unknown labels short-circuit to an empty mapping; the empty set
         is a subset of everything, so it returns
-        ``closed_sets(smin)``.  Against a materialised tree this is the
-        guided :meth:`PrefixTree.supersets` enumeration; against the
-        flat form, a kernel-batched containment filter.
+        ``closed_sets(smin)``.  Against a live tree this is the guided
+        :meth:`PrefixTree.supersets` enumeration; otherwise a kernel
+        ``superset_rows`` containment scan of the packed family.
         """
         if smin < 1:
             raise ValueError(f"smin must be at least 1, got {smin}")

@@ -150,7 +150,19 @@ def read_fimi(
 
 
 def format_fimi(db: TransactionDatabase) -> str:
-    """Serialise a database to FIMI text (items in code order per line)."""
+    """Serialise a database to FIMI text (items in code order per line).
+
+    Raises :class:`ValueError` naming the first label whose ``str()``
+    is empty or contains whitespace: FIMI separates items by
+    whitespace, so such a label would not read back as one item.
+    """
+    for label in db.item_labels:
+        text = str(label)
+        if text.split() != [text]:
+            raise ValueError(
+                f"item label {label!r} cannot be written as a FIMI item: "
+                f"its text {text!r} is empty or contains whitespace"
+            )
     lines = []
     for transaction in db.transactions:
         labels = db.decode(transaction)

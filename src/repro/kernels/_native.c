@@ -7,6 +7,7 @@
  *   intersect_count(rows, mask)                -> (joint bytes, supports)
  *   intersect_count_bounded(rows, mask, smin)  -> (joint bytes, supports)
  *   superset_max_support_bounded(rows, supports, mask, smin) -> int
+ *   superset_rows(rows, mask)                  -> ascending row indices
  *   popcount_rows(rows)                        -> supports
  *
  * `rows` is any C-contiguous 2-D buffer of 8-byte items (the resident
@@ -93,6 +94,43 @@ get_mask(Py_buffer *mask_view, Py_ssize_t n_words)
     }
     memcpy(words, mask_view->buf, (size_t)n_words * 8);
     return words;
+}
+
+/* Indices of the nonzero words of a packed probe.  Only those words
+ * can fail a containment test, and a served query of a few items has
+ * one or two of them in rows of dozens of words. */
+static Py_ssize_t *
+nonzero_words(const uint64_t *mask, Py_ssize_t n_words, Py_ssize_t *count)
+{
+    Py_ssize_t w, n = 0;
+    Py_ssize_t *words =
+        (Py_ssize_t *)PyMem_Malloc((size_t)(n_words ? n_words : 1) *
+                                   sizeof(Py_ssize_t));
+    if (words == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (w = 0; w < n_words; w++) {
+        if (mask[w])
+            words[n++] = w;
+    }
+    *count = n;
+    return words;
+}
+
+/* Whether `row` holds every bit of `mask`, testing only the probe's
+ * nonzero words (see nonzero_words). */
+static int
+row_contains(const uint64_t *row, const uint64_t *mask,
+             const Py_ssize_t *words, Py_ssize_t n_nonzero)
+{
+    Py_ssize_t j;
+    for (j = 0; j < n_nonzero; j++) {
+        Py_ssize_t w = words[j];
+        if ((row[w] & mask[w]) != mask[w])
+            return 0;
+    }
+    return 1;
 }
 
 static PyObject *
@@ -228,8 +266,9 @@ native_superset_max_support_bounded(PyObject *Py_UNUSED(self), PyObject *args)
     Py_buffer mask_view;
     rows_buffer rows;
     uint64_t *mask = NULL;
+    Py_ssize_t *words = NULL;
     long long smin, best = 0;
-    Py_ssize_t i, w, n_words;
+    Py_ssize_t i, n_words, n_nonzero;
 
     if (!PyArg_ParseTuple(args, "OOy*L:superset_max_support_bounded",
                           &rows_obj, &supports_obj, &mask_view, &smin))
@@ -241,6 +280,9 @@ native_superset_max_support_bounded(PyObject *Py_UNUSED(self), PyObject *args)
     n_words = rows.n_words;
     mask = get_mask(&mask_view, n_words);
     if (mask == NULL)
+        goto done;
+    words = nonzero_words(mask, n_words, &n_nonzero);
+    if (words == NULL)
         goto done;
     fast = PySequence_Fast(supports_obj, "supports must be a sequence");
     if (fast == NULL)
@@ -254,8 +296,6 @@ native_superset_max_support_bounded(PyObject *Py_UNUSED(self), PyObject *args)
     for (i = 0; i < rows.n_rows; i++) {
         long long support =
             PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, i));
-        const uint64_t *src;
-        int contains = 1;
         if (support == -1 && PyErr_Occurred())
             goto done;
         /* The support prefilter is the early abort: a row below smin
@@ -263,23 +303,63 @@ native_superset_max_support_bounded(PyObject *Py_UNUSED(self), PyObject *args)
          * containment test. */
         if (support < smin || support <= best)
             continue;
-        src = rows.data + i * n_words;
-        for (w = 0; w < n_words; w++) {
-            if ((src[w] & mask[w]) != mask[w]) {
-                contains = 0;
-                break;
-            }
-        }
-        if (contains)
+        if (row_contains(rows.data + i * n_words, mask, words, n_nonzero))
             best = support;
     }
     result = PyLong_FromLongLong(best);
 done:
     Py_XDECREF(fast);
+    PyMem_Free(words);
     PyMem_Free(mask);
     PyBuffer_Release(&rows.view);
     PyBuffer_Release(&mask_view);
     return result;
+}
+
+static PyObject *
+native_superset_rows(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *rows_obj, *out = NULL;
+    Py_buffer mask_view;
+    rows_buffer rows;
+    uint64_t *mask = NULL;
+    Py_ssize_t *words = NULL;
+    Py_ssize_t i, n_words, n_nonzero;
+
+    if (!PyArg_ParseTuple(args, "Oy*:superset_rows", &rows_obj, &mask_view))
+        return NULL;
+    if (get_rows(rows_obj, &rows) < 0) {
+        PyBuffer_Release(&mask_view);
+        return NULL;
+    }
+    n_words = rows.n_words;
+    mask = get_mask(&mask_view, n_words);
+    if (mask == NULL)
+        goto done;
+    words = nonzero_words(mask, n_words, &n_nonzero);
+    if (words == NULL)
+        goto done;
+    out = PyList_New(0);
+    if (out == NULL)
+        goto done;
+    for (i = 0; i < rows.n_rows; i++) {
+        PyObject *index;
+        if (!row_contains(rows.data + i * n_words, mask, words, n_nonzero))
+            continue;
+        index = PyLong_FromSsize_t(i);
+        if (index == NULL || PyList_Append(out, index) < 0) {
+            Py_XDECREF(index);
+            Py_CLEAR(out);
+            goto done;
+        }
+        Py_DECREF(index);
+    }
+done:
+    PyMem_Free(words);
+    PyMem_Free(mask);
+    PyBuffer_Release(&rows.view);
+    PyBuffer_Release(&mask_view);
+    return out;
 }
 
 static PyObject *
@@ -329,6 +409,9 @@ static PyMethodDef native_methods[] = {
      METH_VARARGS,
      "superset_max_support_bounded(rows, supports, mask, smin) -> "
      "largest support >= smin over rows containing mask (0 if none)"},
+    {"superset_rows", native_superset_rows, METH_VARARGS,
+     "superset_rows(rows, mask) -> ascending indices of the rows "
+     "containing mask"},
     {"popcount_rows", native_popcount_rows, METH_VARARGS,
      "popcount_rows(rows) -> per-row popcounts"},
     {NULL, NULL, 0, NULL},

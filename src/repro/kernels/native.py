@@ -3,8 +3,9 @@
 :class:`NativeBackend` subclasses the numpy backend and re-routes the
 profiled-worst primitives — the resident intersection family
 (``intersect_table``, ``intersect_count_table``,
-``intersect_count_table_bounded``), the serving point query
-(``superset_max_support_bounded``) and ``popcount_rows`` — through
+``intersect_count_table_bounded``), the serving queries
+(``superset_max_support_bounded``, ``superset_rows``) and
+``popcount_rows`` — through
 ``repro.kernels._native``, a small C module built from
 ``src/repro/kernels/_native.c`` (an *optional* setuptools extension:
 ``pip install -e .`` builds it when a compiler is present and silently
@@ -19,13 +20,15 @@ back as bytes wrapped into a fresh table.  Everything not listed above
 the numpy/plain-int implementation unchanged — per-primitive best
 implementation, exactly like the numpy backend's own hybrid split.
 
-Why these five win in C even against vectorised numpy: the bench
+Why these six win in C even against vectorised numpy: the bench
 fixture's rows are a few dozen words, so one numpy call spends more on
 dispatch, broadcasting and temporaries (AND matrix, byte-count matrix,
 reduction) than on the actual word loop.  The C loop fuses
 AND + popcount + bound test into one pass over each row, honours the
 exact ``BELOW_BOUND`` sentinel contract, and gives the early-stopping
-rule word granularity instead of the half-split.
+rule word granularity instead of the half-split.  The two containment
+scans test only the probe's nonzero words, so a query of a few items
+reads one or two words per row.
 
 When the extension is not built this module still imports cleanly and
 ``HAVE_NATIVE`` is ``False``; the registry then leaves ``"native"``
@@ -100,6 +103,14 @@ class NativeBackend(NumpyBackend):
             rows, mask.to_bytes(table.n_words * 8, "little"), smin
         )
         return _wrap_joint(data, table), supports
+
+    def superset_rows(self, table: PackedTable, mask: int) -> List[int]:
+        if not table._n_rows or mask >> (table.n_words * 64):
+            # Empty table, or query bits beyond the packed width.
+            return []
+        return _native.superset_rows(
+            table.rows, mask.to_bytes(table.n_words * 8, "little")
+        )
 
     def superset_max_support_bounded(
         self, table: PackedTable, supports: Sequence[int], mask: int, smin: int

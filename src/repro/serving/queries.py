@@ -14,7 +14,10 @@ and rendering live here, once, and both callers delegate:
 * :func:`query_lines` — evaluate one verb and render the answer in the
   one-set-per-line ``item item (support)`` convention of the original
   fim tools, deterministically ordered (descending support, then the
-  textual form of the labels).
+  textual form of the labels).  The family verbs (``closed_sets``,
+  ``top_k``) keep their rendered lines in the miner's
+  generation-scoped memo (:meth:`IncrementalMiner.memoized`), so a
+  repeat request at an unchanged generation neither sorts nor formats.
 
 ``QUERY_VERBS`` names the four verbs; it is the single registry the
 server's routing table and the differential suite iterate.
@@ -43,7 +46,7 @@ def parse_items(spec: str, miner) -> List[object]:
     reading when that matches one.  Unknown items pass through
     unchanged — ``support_of`` legitimately answers 0 for them.
     """
-    labels = set(miner.item_labels)
+    labels = miner.label_codes
     items: List[object] = []
     for token in spec.split(","):
         token = token.strip()
@@ -62,16 +65,22 @@ def parse_items(spec: str, miner) -> List[object]:
     return items
 
 
-def _family_lines(family) -> List[str]:
-    """Render a ``labels -> support`` mapping in the canonical order."""
-    ordered = sorted(
-        family.items(),
-        key=lambda e: (-e[1], [str(label) for label in e[0]]),
-    )
-    return [
+def _ranked_lines(ranked) -> Tuple[str, ...]:
+    """Render ``(labels, support)`` pairs, keeping their order."""
+    return tuple(
         " ".join(str(label) for label in labels) + f" ({supp})"
-        for labels, supp in ordered
-    ]
+        for labels, supp in ranked
+    )
+
+
+def _family_lines(family) -> Tuple[str, ...]:
+    """Render a ``labels -> support`` mapping in the canonical order."""
+    return _ranked_lines(
+        sorted(
+            family.items(),
+            key=lambda e: (-e[1], [str(label) for label in e[0]]),
+        )
+    )
 
 
 def query_lines(
@@ -90,6 +99,10 @@ def query_lines(
     :func:`parse_items`).  Raises :class:`ValueError` for an unknown
     verb or a missing parameter — the callers map that to exit code 2
     (CLI) or HTTP 400 (server).
+
+    The lines of ``closed_sets`` and ``top_k`` are rendered once per
+    generation and parameters, and kept in the miner's memo; the
+    first request renders only the sets of its own answer.
     """
     if verb == "support_of":
         if items is None:
@@ -98,16 +111,21 @@ def query_lines(
     if verb == "top_k":
         if k is None:
             raise ValueError("top_k needs k")
-        return [
-            " ".join(str(label) for label in labels) + f" ({supp})"
-            for labels, supp in miner.top_k(k, smin=smin)
-        ]
+        lines = miner.memoized(
+            ("lines", verb, k, smin),
+            lambda: _ranked_lines(miner.top_k(k, smin=smin)),
+        )
+        return list(lines)
     if verb == "supersets_of":
         if items is None:
             raise ValueError("supersets_of needs an item list")
-        return _family_lines(miner.supersets_of(items, smin=smin))
+        return list(_family_lines(miner.supersets_of(items, smin=smin)))
     if verb == "closed_sets":
-        return _family_lines(miner.closed_sets(smin))
+        lines = miner.memoized(
+            ("lines", verb, smin),
+            lambda: _family_lines(miner.closed_sets(smin)),
+        )
+        return list(lines)
     raise ValueError(
         f"unknown query verb {verb!r}; expected one of {', '.join(QUERY_VERBS)}"
     )

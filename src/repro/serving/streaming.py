@@ -241,6 +241,12 @@ class StreamingMiner:
             raise WalError(
                 f"keep_snapshots must be at least 1, got {keep_snapshots}"
             )
+        if flight and not resolve_probe(probe).active:
+            # Refused before recovery touches the store or opens the log.
+            raise WalError(
+                "flight recorder needs an active probe; pass "
+                "probe=repro.obs.Probe() (or flight=False)"
+            )
         self = object.__new__(cls)
         self._directory = os.fspath(directory)
         self._wal_dir = os.path.join(self._directory, "wal")
@@ -328,11 +334,6 @@ class StreamingMiner:
             if flight is None:
                 flight = self._obs.active
             if flight:
-                if not self._obs.active:
-                    raise WalError(
-                        "flight recorder needs an active probe; pass "
-                        "probe=repro.obs.Probe() (or flight=False)"
-                    )
                 self._flight = FlightRecorder(
                     os.path.join(self._directory, "flight"),
                     self._obs,
@@ -621,10 +622,13 @@ class StreamingMiner:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         # An exception (including an injected crash) must leave the
-        # on-disk state exactly as-is; only a clean exit flushes.
+        # on-disk state exactly as-is; only a clean exit flushes.  The
+        # log's descriptor is still given back, unsynced, so a later
+        # close() (a no-op) cannot leak it.
         if exc_type is None:
             self.close()
         else:
+            self._wal.release()
             if self._flight is not None:
                 self._flight.__exit__(exc_type, exc, tb)
             self._closed = True

@@ -650,6 +650,17 @@ class WriteAheadLog:
         """Sync (per policy) and close the live segment."""
         if self._handle is not None:
             self.sync()
+        self.release()
+
+    def release(self) -> None:
+        """Close the live segment's handle without syncing.
+
+        The exit of a writer that died: the segment is unbuffered, so
+        every acked append is already in the file, and closing only
+        gives the descriptor back, leaving the bytes on disk as they
+        are for the next open to replay.
+        """
+        if self._handle is not None:
             self._handle.close()
             self._handle = None
 

@@ -1,6 +1,7 @@
 """Unit tests for FIMI and expression-matrix IO."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ class TestFimiRoundtrip:
     def test_format_empty_database(self):
         db = TransactionDatabase([], 0)
         assert format_fimi(db) == ""
+
+    @pytest.mark.parametrize(
+        "bad", [("g48", "+"), "", "two words", "tab\there", "\u00a0"]
+    )
+    def test_label_that_is_not_one_token_raises(self, bad):
+        db = TransactionDatabase.from_iterable(
+            [["ok", bad], ["ok"]], item_order=["ok", bad]
+        )
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            format_fimi(db)
+
+    def test_error_names_the_first_bad_label(self):
+        labels = ["a", "b c", ("d", "e")]
+        db = TransactionDatabase.from_iterable([labels], item_order=labels)
+        with pytest.raises(ValueError, match="'b c'"):
+            write_fimi(db, io.StringIO())
 
 
 class TestExpressionMatrixIO:

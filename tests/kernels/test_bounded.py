@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import available_backends, get_backend
+from repro.kernels import HAVE_NATIVE, available_backends, get_backend
 
 from ..conftest import backend_kernel_params
 from repro.kernels.base import BELOW_BOUND
@@ -299,3 +299,46 @@ def test_packedtable_from_rows_is_rows_resident():
     joint = kernel.intersect_table(table, 13)
     assert isinstance(joint, PackedTable)
     assert joint._ints is None
+
+
+@pytest.mark.skipif(not HAVE_NATIVE, reason="native extension not built")
+class TestNativeSupersetRows:
+    """The native containment scan against the bitint reference."""
+
+    @pytest.mark.parametrize(
+        "rows,n_bits,mask",
+        [
+            pytest.param([], 5, 0b1, id="empty-table"),
+            pytest.param([], 5, 0, id="empty-table-mask-0"),
+            pytest.param([0b101, 0, 0b11], 3, 0, id="mask-0-every-row"),
+            pytest.param([0, 0], 0, 0, id="zero-width"),
+            pytest.param([(1 << 64) - 1, 1], 64, 1 << 64, id="beyond-width"),
+            pytest.param([1, 3], 3, 1 << 70, id="beyond-width-far"),
+            pytest.param(
+                [(1 << 64) - 1, 1 << 63, (1 << 63) | 1], 64, 1 << 63, id="width-64"
+            ),
+            pytest.param(
+                [(1 << 128) - 1, (1 << 127) | 1, 1 << 127, (1 << 64) | 1],
+                128,
+                (1 << 127) | 1,
+                id="width-128",
+            ),
+            pytest.param(
+                [(1 << 130) - 1, 1 << 129, (1 << 129) | (1 << 3)],
+                130,
+                (1 << 129) | (1 << 3),
+                id="sparse-probe-words",
+            ),
+        ],
+    )
+    def test_matches_bitint(self, rows, n_bits, mask):
+        native, reference = get_backend("native"), get_backend("bitint")
+        expected = reference.superset_rows(reference.pack(rows, n_bits), mask)
+        table = native.pack(rows, n_bits)
+        assert native.superset_rows(table, mask) == expected
+        # Rows-resident after the first scan; grown in place by appends.
+        native.append_rows(table, rows)
+        grown = reference.pack(rows + rows, n_bits)
+        assert native.superset_rows(table, mask) == reference.superset_rows(
+            grown, mask
+        )

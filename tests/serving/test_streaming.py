@@ -118,6 +118,57 @@ class TestLifecycle:
             StreamingMiner(tmp_path / "store")
 
 
+def _files(directory):
+    """Relative path -> bytes of every file under ``directory``."""
+    out = {}
+    for root, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                out[os.path.relpath(path, directory)] = handle.read()
+    return out
+
+
+class TestExceptionalExit:
+    """Leaving ``with`` on an exception gives the log's handle back."""
+
+    def _die_inside(self, directory, rows):
+        """Ingest ``rows`` unfolded, then leave ``with`` on an exception.
+
+        Returns the store, its log's file object and the store's files
+        as they were just before the exception.
+        """
+        seen = {}
+        with pytest.raises(RuntimeError, match="writer died"):
+            with StreamingMiner.open(directory, batch_records=1000) as store:
+                for row in rows:
+                    store.ingest(row)
+                seen["handle"] = store._wal._handle
+                seen["files"] = _files(directory)
+                raise RuntimeError("writer died")
+        return store, seen["handle"], seen["files"]
+
+    def test_handle_closed_and_log_bytes_unchanged(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store, handle, before = self._die_inside(directory, ROWS[:12])
+        assert handle.closed
+        assert any(path.startswith("wal") for path in before)
+        assert _files(directory) == before  # no fold, compaction or sync
+        store.close()  # a no-op once the exceptional exit ran
+        assert _files(directory) == before
+
+    def test_reopen_replays_the_tail_and_late_close_is_a_no_op(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store, _, _ = self._die_inside(directory, ROWS)
+        reopened = StreamingMiner.open(directory)
+        assert reopened.recovery.replayed_records == len(ROWS)
+        _same_answers(reopened, _cold(ROWS))
+        reopened.close()
+        state = _files(directory)
+        store.close()
+        assert _files(directory) == state
+
+
 class TestCrashRecovery:
     """Kill at every named point; the survivor must answer identically."""
 
@@ -375,6 +426,7 @@ class TestObservability:
     def test_flight_true_demands_probe(self, tmp_path):
         with pytest.raises(WalError, match="[Ff]light"):
             StreamingMiner.open(tmp_path / "store", flight=True)
+        assert not (tmp_path / "store").exists()  # refused before any I/O
 
     def test_flight_off_writes_nothing(self, tmp_path):
         store = StreamingMiner.open(

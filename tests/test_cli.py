@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_USER_ERROR, build_parser, main
+from repro.data.database import TransactionDatabase
 from repro.data.io import read_fimi
+from repro.datasets import DATASETS, load
 
 
 @pytest.fixture
@@ -95,6 +97,31 @@ class TestGenCommand:
             "--option", "corruption=0.1",
         ])
         assert read_fimi(out_path).n_transactions == 10
+
+    def test_tuple_labels_round_trip_through_fimi(self, tmp_path):
+        out_path = tmp_path / "yeast.fimi"
+        options = {"n_genes": 300, "n_conditions": 40}
+        argv = ["gen", "yeast", "-o", str(out_path)]
+        for key, value in options.items():
+            argv += ["--option", f"{key}={value}"]
+        assert main(argv) == 0
+        generated = load("yeast", **options)
+        rows = [{gene + sign for gene, sign in row} for row in generated.as_sets()]
+        db = read_fimi(out_path)
+        assert db.n_items == len(set().union(*rows))
+        assert [set(row) for row in db.as_sets()] == rows
+
+    def test_colliding_label_renderings_refused(self, tmp_path, monkeypatch, capsys):
+        labels = [("g1", "1+"), ("g11", "+")]
+        monkeypatch.setitem(
+            DATASETS,
+            "colliding",
+            lambda: TransactionDatabase.from_iterable([labels], item_order=labels),
+        )
+        out_path = tmp_path / "x.fimi"
+        assert main(["gen", "colliding", "-o", str(out_path)]) == EXIT_USER_ERROR
+        assert "'g11+'" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_bad_option_syntax_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="KEY=VALUE"):
