@@ -7,9 +7,10 @@ an ephemeral loopback port over a store built from the committed yeast
 gate fixture, then hammered with sequential HTTP requests the way the
 CI smoke step's ``curl`` loop would be.  Recorded per endpoint:
 
-* **p50 / p99 latency** — milliseconds per request, connection setup
-  through full-body read (one connection per request, exactly the
-  daemon's ``Connection: close`` contract);
+* **p50 / p99 latency** — milliseconds per request, send through
+  full-body read, over one kept-alive ``http.client`` connection per
+  endpoint loop (``urllib`` would send ``Connection: close`` and pay a
+  connect per request);
 * **qps** — requests per second over the measured window.
 
 Absolute wall clock over loopback is noisier than the ratio gates, so
@@ -37,13 +38,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import http.client
 import json
 import os
 import shutil
 import tempfile
 import threading
 import time
-import urllib.request
 
 from repro.data.io import read_fimi
 from repro.serving import QueryServer, StreamingMiner, query_lines
@@ -96,12 +97,19 @@ class _Daemon:
         self._thread.join(timeout=10)
         self._loop.close()
 
-    def get(self, path: str) -> bytes:
-        url = f"http://127.0.0.1:{self.server.port}{path}"
-        with urllib.request.urlopen(url, timeout=30) as response:
-            if response.status != 200:
-                raise AssertionError(f"GET {path} -> {response.status}")
-            return response.read()
+    def connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(
+            "127.0.0.1", self.server.port, timeout=30
+        )
+
+
+def _get(conn: http.client.HTTPConnection, path: str) -> bytes:
+    conn.request("GET", path)
+    response = conn.getresponse()
+    body = response.read()
+    if response.status != 200:
+        raise AssertionError(f"GET {path} -> {response.status}")
+    return body
 
 
 def measure() -> dict:
@@ -127,7 +135,11 @@ def measure() -> dict:
         with _Daemon(store) as daemon:
             # Exactness before timing: the served body's lines must be
             # the in-process answer verbatim.
-            payload = json.loads(daemon.get(ENDPOINTS["closed_sets"]))
+            conn = daemon.connect()
+            try:
+                payload = json.loads(_get(conn, ENDPOINTS["closed_sets"]))
+            finally:
+                conn.close()
             expected = list(
                 query_lines(daemon.server._hot.miner, "closed_sets", smin=SMIN)
             )
@@ -139,15 +151,19 @@ def measure() -> dict:
             record["n_closed"] = len(expected)
 
             for name, path in ENDPOINTS.items():
-                for _ in range(WARMUP_REQUESTS):
-                    daemon.get(path)
-                latencies = []
-                window = time.perf_counter()
-                for _ in range(MEASURE_REQUESTS):
-                    start = time.perf_counter()
-                    daemon.get(path)
-                    latencies.append(time.perf_counter() - start)
-                window = time.perf_counter() - window
+                conn = daemon.connect()
+                try:
+                    for _ in range(WARMUP_REQUESTS):
+                        _get(conn, path)
+                    latencies = []
+                    window = time.perf_counter()
+                    for _ in range(MEASURE_REQUESTS):
+                        start = time.perf_counter()
+                        _get(conn, path)
+                        latencies.append(time.perf_counter() - start)
+                    window = time.perf_counter() - window
+                finally:
+                    conn.close()
                 record[name] = {
                     "p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
                     "p99_ms": round(_percentile(latencies, 0.99) * 1e3, 3),

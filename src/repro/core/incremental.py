@@ -34,10 +34,7 @@ points serve that role:
   generation counter; any mutation bumps the generation and drops the
   cache, so repeated queries against an unchanged repository are
   dictionary lookups.  Query results are therefore returned as
-  read-only mappings.  :meth:`IncrementalMiner.memoized` extends the
-  same cache to answers derived from the queries: the serving layer
-  keeps the rendered lines of each family answer there, so a family
-  answer is rendered once per generation.
+  read-only mappings.
 * **Batched ingest.**  :meth:`extend` applies the paper's Section 3.4
   heuristics per batch — duplicate transactions collapse into one
   weighted update, and the batch is processed in size-ascending,
@@ -61,7 +58,6 @@ from __future__ import annotations
 from itertools import islice
 from types import MappingProxyType
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -391,7 +387,7 @@ class IncrementalMiner:
                 else:
                     pending = self._pending
                     self._tree = pending.build_tree(
-                        self.counters, self._n_transactions
+                        self.counters, self._n_transactions, self._kernel
                     )
                     self._pending = None
                     # Lazy-decode audit: header-only queries must keep
@@ -469,24 +465,6 @@ class IncrementalMiner:
     # ------------------------------------------------------------------
     # Queries (memoised; generation-invalidated)
     # ------------------------------------------------------------------
-
-    def memoized(self, key: tuple, build: Callable[[], object]) -> object:
-        """A value derived from query answers, cached for this generation.
-
-        ``build()`` runs on a miss and its result is kept until the next
-        mutation drops the cache, like every query result.  A hit counts
-        in ``serving.memo.hits``; a miss is counted by the queries that
-        ``build`` runs.  ``key`` shares the query cache's key space, so
-        callers prefix it with their own tag.  The cached value is
-        returned as-is and must not be mutated.
-        """
-        hit = self._memo.get(key)
-        if hit is not None:
-            self._obs.count("serving.memo.hits")
-            return hit
-        value = build()
-        self._memo[key] = value
-        return value
 
     def closed_sets(self, smin: int = 1) -> Mapping[Tuple[Hashable, ...], int]:
         """Closed frequent item sets of everything seen so far.
@@ -741,7 +719,7 @@ class IncrementalMiner:
         """Rehydrate a miner from decoded snapshot state (repro.serving).
 
         ``pending`` is a lazy record object exposing ``n_sets``,
-        ``build_tree(counters, step)`` and ``build_flat()``; the
+        ``build_tree(counters, step, kernel)`` and ``build_flat()``; the
         repository is not decoded until a query or mutation needs it.
         """
         miner = cls(counters=counters, guard=guard, backend=backend, probe=probe)

@@ -20,7 +20,7 @@ thresholding real-valued matrices).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, TextIO, Union
+from typing import List, Optional, TextIO, Tuple, Union
 
 from ..runtime.errors import CorruptInputError
 from .database import TransactionDatabase
@@ -103,12 +103,8 @@ def parse_arff(
 def _parse_attribute(line: str, line_number: int, source: str) -> str:
     """Extract the name of a binary/nominal attribute declaration."""
     body = line[len("@attribute"):].strip()
-    if body.startswith("'"):
-        end = body.index("'", 1)
-        name, rest = body[1:end], body[end + 1 :].strip()
-    elif body.startswith('"'):
-        end = body.index('"', 1)
-        name, rest = body[1:end], body[end + 1 :].strip()
+    if body[:1] in ("'", '"'):
+        name, rest = _unquote(body, line_number, source)
     else:
         parts = body.split(None, 1)
         if len(parts) != 2:
@@ -135,6 +131,39 @@ def _parse_attribute(line: str, line_number: int, source: str) -> str:
             line_number=line_number,
         )
     return name
+
+
+def _unquote(body: str, line_number: int, source: str) -> Tuple[str, str]:
+    """Split a quoted name off ``body``: ``(name, rest)``.
+
+    As in Weka's quoted names, a backslash escapes a following
+    backslash or quote (what :func:`_quote` writes).  Before any other
+    character it is kept, so names written without escapes still read
+    back.
+    """
+    quote = body[0]
+    chars: List[str] = []
+    index = 1
+    while index < len(body):
+        char = body[index]
+        if char == quote:
+            return "".join(chars), body[index + 1 :].strip()
+        if char == "\\" and body[index + 1 : index + 2] in ("\\", "'", '"'):
+            index += 1
+            char = body[index]
+        chars.append(char)
+        index += 1
+    raise CorruptInputError(
+        f"{source}, line {line_number}: unterminated quoted attribute name",
+        source=source,
+        line_number=line_number,
+    )
+
+
+def _quote(label) -> str:
+    """Single-quote a label for an ``@attribute`` line (see :func:`_unquote`)."""
+    text = str(label).replace("\\", "\\\\").replace("'", "\\'")
+    return f"'{text}'"
 
 
 def _parse_instance(
@@ -229,7 +258,7 @@ def format_arff(
     """
     lines = [f"@relation {relation}", ""]
     for label in db.item_labels:
-        lines.append(f"@attribute '{label}' {{0, 1}}")
+        lines.append(f"@attribute {_quote(label)} {{0, 1}}")
     lines.append("")
     lines.append("@data")
     for mask in db.transactions:

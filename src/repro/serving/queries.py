@@ -14,10 +14,9 @@ and rendering live here, once, and both callers delegate:
 * :func:`query_lines` — evaluate one verb and render the answer in the
   one-set-per-line ``item item (support)`` convention of the original
   fim tools, deterministically ordered (descending support, then the
-  textual form of the labels).  The family verbs (``closed_sets``,
-  ``top_k``) keep their rendered lines in the miner's
-  generation-scoped memo (:meth:`IncrementalMiner.memoized`), so a
-  repeat request at an unchanged generation neither sorts nor formats.
+  textual form of the labels).  The answers come from the miner's
+  generation-scoped query memo, and the daemon keeps each encoded
+  family answer per generation, so it renders a family answer once.
 
 ``QUERY_VERBS`` names the four verbs; it is the single registry the
 server's routing table and the differential suite iterate.
@@ -65,15 +64,15 @@ def parse_items(spec: str, miner) -> List[object]:
     return items
 
 
-def _ranked_lines(ranked) -> Tuple[str, ...]:
+def _ranked_lines(ranked) -> List[str]:
     """Render ``(labels, support)`` pairs, keeping their order."""
-    return tuple(
+    return [
         " ".join(str(label) for label in labels) + f" ({supp})"
         for labels, supp in ranked
-    )
+    ]
 
 
-def _family_lines(family) -> Tuple[str, ...]:
+def _family_lines(family) -> List[str]:
     """Render a ``labels -> support`` mapping in the canonical order."""
     return _ranked_lines(
         sorted(
@@ -100,9 +99,7 @@ def query_lines(
     verb or a missing parameter — the callers map that to exit code 2
     (CLI) or HTTP 400 (server).
 
-    The lines of ``closed_sets`` and ``top_k`` are rendered once per
-    generation and parameters, and kept in the miner's memo; the
-    first request renders only the sets of its own answer.
+    A family answer renders only the sets it contains.
     """
     if verb == "support_of":
         if items is None:
@@ -111,21 +108,13 @@ def query_lines(
     if verb == "top_k":
         if k is None:
             raise ValueError("top_k needs k")
-        lines = miner.memoized(
-            ("lines", verb, k, smin),
-            lambda: _ranked_lines(miner.top_k(k, smin=smin)),
-        )
-        return list(lines)
+        return _ranked_lines(miner.top_k(k, smin=smin))
     if verb == "supersets_of":
         if items is None:
             raise ValueError("supersets_of needs an item list")
-        return list(_family_lines(miner.supersets_of(items, smin=smin)))
+        return _family_lines(miner.supersets_of(items, smin=smin))
     if verb == "closed_sets":
-        lines = miner.memoized(
-            ("lines", verb, smin),
-            lambda: _family_lines(miner.closed_sets(smin)),
-        )
-        return list(lines)
+        return _family_lines(miner.closed_sets(smin))
     raise ValueError(
         f"unknown query verb {verb!r}; expected one of {', '.join(QUERY_VERBS)}"
     )

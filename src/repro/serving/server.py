@@ -37,9 +37,17 @@ Design points:
   and ``/healthz`` the read-only
   :func:`~repro.serving.health.compute_health` report as JSON.
 
+* **Answers at the engine floor.**  Connections persist (HTTP/1.1
+  keep-alive) until the client asks to close, speaks HTTP/1.0 without
+  ``keep-alive``, sends a body the daemon does not consume, idles past
+  the read timeout, or the daemon stops.  The encoded body of a
+  ``closed_sets``/``top_k`` answer is kept on its generation, and a
+  repeat is answered on the event loop itself: admission still counts
+  it, but no pool hop, no query and no ``json.dumps`` run.
+
 The HTTP layer is deliberately minimal — stdlib ``asyncio`` streams,
-one request per connection — because the protocol surface is four
-read-only verbs plus two operational endpoints; see
+one request at a time per connection — because the protocol surface
+is four read-only verbs plus two operational endpoints; see
 ``docs/serving.md`` for the endpoint catalogue and curl examples.
 Everything answers ``GET``; the two item-taking verbs
 (``/supersets_of``, ``/support_of``) additionally accept ``POST`` with
@@ -61,7 +69,7 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs import LATENCY_BUCKETS, Probe
@@ -93,6 +101,18 @@ _MAX_BODY_BYTES = 1 << 20
 #: The verbs that accept a POSTed JSON item list.
 _POST_VERBS = ("supersets_of", "support_of")
 
+#: Encoded family answers (``closed_sets``, ``top_k``) kept per
+#: generation: large answers that a repeat would otherwise encode again.
+#: Point answers are small, and their keys would be client-chosen item
+#: lists.  Past this many the oldest is dropped, so a client cycling
+#: ``k`` or ``smin`` holds at most this many bodies until the next swap.
+_MAX_BODIES = 32
+
+#: Seconds a client has to send a whole request, counted from when the
+#: daemon starts waiting for it — so it also ends a kept connection
+#: that idles between requests.
+_READ_TIMEOUT = 10.0
+
 
 class _HttpError(Exception):
     """Internal routing shortcut carrying a ready HTTP error."""
@@ -112,15 +132,21 @@ class _Hot:
     *per generation*, so a swap never waits on it: requests that
     grabbed the old generation finish on the old lock while new
     requests queue on the new one.
+
+    ``bodies`` maps a family answer's ``(verb, smin, k)`` to its
+    encoded 200 body, oldest first.  Only the event loop thread reads
+    or writes it, so it needs no lock, and a swap brings a fresh, empty
+    one.
     """
 
-    __slots__ = ("miner", "covered", "path", "lock")
+    __slots__ = ("miner", "covered", "path", "lock", "bodies")
 
     def __init__(self, miner, covered: int, path: str) -> None:
         self.miner = miner
         self.covered = covered
         self.path = path
         self.lock = threading.Lock()
+        self.bodies: Dict[tuple, bytes] = {}
 
 
 class QueryServer:
@@ -204,6 +230,12 @@ class QueryServer:
         self._slots = asyncio.Semaphore(max_inflight)
         self._server: Optional[asyncio.base_events.Server] = None
         self._watch_task: Optional[asyncio.Task] = None
+        # Connection handlers, and the writers of those waiting for
+        # their next request: stop() closes the idle ones and waits
+        # for the rest to finish their response.
+        self._connections: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._stopping = False
 
     # ------------------------------------------------------------------
     # Hot generation management
@@ -301,7 +333,14 @@ class QueryServer:
         self._watch_task = loop.create_task(self._watch_store())
 
     async def stop(self) -> None:
-        """Stop listening, cancel the watcher, drain the executors."""
+        """Stop listening, cancel the watcher, end every connection,
+        drain the executors.
+
+        An idle kept connection is closed at once; one in the middle of
+        a request first gets its response, sent ``Connection: close``.
+        (``Server.wait_closed`` waits for every open connection on
+        Python 3.12+, so idle ones must be closed here.)
+        """
         if self._watch_task is not None:
             self._watch_task.cancel()
             try:
@@ -309,8 +348,13 @@ class QueryServer:
             except asyncio.CancelledError:
                 pass
             self._watch_task = None
+        self._stopping = True
         if self._server is not None:
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
+            if self._connections:
+                await asyncio.wait(list(self._connections))
             await self._server.wait_closed()
             self._server = None
         self._pool.shutdown(wait=True)
@@ -351,57 +395,120 @@ class QueryServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._obs.count("serve.http.connections")
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            try:
-                request_line = await asyncio.wait_for(
-                    reader.readline(), timeout=10.0
-                )
-            except asyncio.TimeoutError:
-                return
-            parts = request_line.decode("latin-1", "replace").split()
-            if len(parts) < 2:
-                return
-            method, target = parts[0], parts[1]
-            # Drain the headers, keeping Content-Length: POST verbs
-            # carry a JSON body, everything else has none to read.
-            content_length = 0
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-                if line in (b"\r\n", b"\n", b""):
+            while not self._stopping:
+                request = await self._read_request(reader, writer)
+                if request is None:
                     break
-                name, _, value = line.decode("latin-1", "replace").partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        content_length = int(value.strip())
-                    except ValueError:
-                        content_length = -1
-            request_body = b""
-            if 0 < content_length <= _MAX_BODY_BYTES:
-                request_body = await asyncio.wait_for(
-                    reader.readexactly(content_length), timeout=10.0
+                method, target, request_body, content_length, keep_alive = request
+                status, ctype, body, extra = await self._respond(
+                    method, target, request_body, content_length
                 )
-            status, ctype, body, extra = await self._respond(
-                method, target, request_body, content_length
-            )
-            head = [
-                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                f"Content-Type: {ctype}",
-                f"Content-Length: {len(body)}",
-                "Connection: close",
-            ]
-            head.extend(extra)
-            writer.write(
-                ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
-            )
-            await writer.drain()
-        except (ConnectionError, asyncio.TimeoutError):  # pragma: no cover
+                keep_alive = keep_alive and not self._stopping
+                began = time.perf_counter()
+                head = [
+                    f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+                    f"Content-Type: {ctype}",
+                    f"Content-Length: {len(body)}",
+                    "Connection: keep-alive" if keep_alive else "Connection: close",
+                ]
+                head.extend(extra)
+                writer.write(
+                    ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+                )
+                await writer.drain()
+                self._phase("serve.phase.write.seconds", began)
+                if not keep_alive:
+                    break
+        except ConnectionError:  # pragma: no cover - client went away
             pass
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Tuple[str, str, bytes, int, bool]]:
+        """Read one request: ``(method, target, body, content_length,
+        keep_alive)``, or ``None`` when the connection should end.
+
+        The request must arrive whole within ``_READ_TIMEOUT``; on
+        expiry the transport is closed, which ends the pending read, and
+        a request cut off that way is dropped unanswered.  ``keep_alive``
+        is false when the client asked to close, left a body unread (its
+        bytes would otherwise parse as the next request), or used a
+        method other than GET and POST.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.call_later(_READ_TIMEOUT, writer.close)
+        self._idle.add(writer)
+        try:
+            request_line = await reader.readline()
+            self._idle.discard(writer)
+            began = time.perf_counter()
+            parts = request_line.decode("latin-1", "replace").split()
+            if len(parts) < 2:
+                return None
+            method, target = parts[0], parts[1]
+            keep_alive = len(parts) > 2 and parts[2] == "HTTP/1.1"
+            # Drain the headers, keeping those that decide the body (POST
+            # verbs carry a JSON one) and whether the connection stays.
+            content_length = 0
+            while True:
+                line = await reader.readline()
+                if not line:
+                    # The stream ended before the headers did: the client
+                    # left, or the deadline closed the transport.  Drop
+                    # the request rather than run it.
+                    return None
+                if line in (b"\r\n", b"\n"):
+                    break
+                name, _, value = line.decode("latin-1", "replace").partition(":")
+                name = name.strip().lower()
+                if name == "content-length":
+                    try:
+                        content_length = int(value.strip())
+                    except ValueError:
+                        content_length = -1
+                elif name == "connection":
+                    tokens = {token.strip() for token in value.lower().split(",")}
+                    if "close" in tokens:
+                        keep_alive = False
+                    elif "keep-alive" in tokens:
+                        keep_alive = True
+                elif name == "transfer-encoding":
+                    keep_alive = False
+            request_body = b""
+            if 0 < content_length <= _MAX_BODY_BYTES:
+                request_body = await reader.readexactly(content_length)
+            elif content_length:
+                keep_alive = False
+            if method not in ("GET", "POST"):
+                # It answers 405 with a body, which a HEAD client never
+                # reads: those bytes must not pass for the next response.
+                keep_alive = False
+        except (asyncio.IncompleteReadError, ValueError):
+            # The stream ended mid-request (the client left, or the
+            # deadline closed it), or a line overran the stream limit.
+            return None
+        finally:
+            deadline.cancel()
+            self._idle.discard(writer)
+        self._phase("serve.phase.read.seconds", began)
+        return method, target, request_body, content_length, keep_alive
+
+    def _phase(self, name: str, began: float) -> float:
+        """Observe the time since ``began`` in histogram ``name``; returns now."""
+        now = time.perf_counter()
+        self._obs.observe(name, now - began, buckets=LATENCY_BUCKETS)
+        return now
 
     async def _respond(
         self, method: str, target: str, request_body: bytes = b"",
@@ -572,16 +679,38 @@ class QueryServer:
             raise _HttpError(
                 400, f"{verb} needs an 'items' query parameter"
             )
+        # A family answer is kept only when the request carries no
+        # parameter its verb ignores: a stray k or items is echoed into
+        # the body, so each would keep another copy of the same answer.
+        key = None
+        if items_spec is None and (
+            verb == "top_k" or (verb == "closed_sets" and k is None)
+        ):
+            key = (verb, smin, k)
+        # One reference grab: an inline answer comes from exactly this
+        # generation, swap or no swap.
+        hot = self._hot
+        body = hot.bodies.get(key) if key is not None else None
+        began = time.perf_counter()
         try:
             self._admission.admit()
         except Saturated as exc:
             raise _HttpError(429, str(exc), retry_after=exc.retry_after)
+        if body is not None:
+            # The answer is already encoded: serve it from the event
+            # loop, with no pool hop, no query and no encoding.
+            self._admission.start()
+            self._admission.release()
+            self._phase("serve.phase.admit.seconds", began)
+            self._obs.count("serving.memo.hits")
+            return 200, "application/json", body, []
         loop = asyncio.get_running_loop()
         try:
             async with self._slots:
                 self._admission.start()
-                # One reference grab: this request answers from exactly
-                # this generation, swap or no swap.
+                began = self._phase("serve.phase.admit.seconds", began)
+                # Grab again: a swap may have landed while this request
+                # waited for its slot.  It answers from this generation.
                 hot = self._hot
                 try:
                     lines = await loop.run_in_executor(
@@ -602,6 +731,7 @@ class QueryServer:
                     ) from None
                 except ValueError as exc:
                     raise _HttpError(400, str(exc)) from None
+                began = self._phase("serve.phase.engine.seconds", began)
         finally:
             self._admission.release()
         payload = {
@@ -617,6 +747,12 @@ class QueryServer:
         if items_spec is not None:
             payload["items"] = items_spec
         body = json.dumps(payload, **_JSON_KWARGS).encode("utf-8")
+        if key is not None:
+            bodies = hot.bodies
+            if key not in bodies and len(bodies) >= _MAX_BODIES:
+                del bodies[next(iter(bodies))]
+            bodies[key] = body
+        self._phase("serve.phase.encode.seconds", began)
         return 200, "application/json", body, []
 
     def _run_query(

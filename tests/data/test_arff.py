@@ -104,5 +104,15 @@ class TestRoundtrip:
         buffer.seek(0)
         assert read_arff(buffer).transactions == db.transactions
 
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_labels_needing_quotes_roundtrip(self, sparse):
+        labels = ["it's", "a\\b", "x y", "c,d", "{e}", '"q"']
+        db = TransactionDatabase.from_iterable(
+            [labels[:2], labels[2:], [labels[-1]], []], item_order=labels
+        )
+        back = parse_arff(format_arff(db, sparse=sparse))
+        assert back.item_labels == labels
+        assert back.transactions == db.transactions
+
     def test_relation_name_written(self, db):
         assert "@relation basket" in format_arff(db, relation="basket")

@@ -2,10 +2,7 @@
 
 A loaded snapshot answers every verb from the flat family whatever verb
 comes first: no read builds the prefix tree, and the answers are
-byte-identical to those of a miner whose tree is live.  The family
-verbs' rendered lines are kept in the miner's generation-scoped memo,
-so a repeat request neither sorts nor formats, and any mutation drops
-them with the rest of the memo.
+byte-identical to those of a miner whose tree is live.
 """
 
 from __future__ import annotations
@@ -120,26 +117,18 @@ def renders(monkeypatch):
     return calls
 
 
-def _loaded(probe=None):
+def _loaded():
     miner = IncrementalMiner()
     miner.extend([["a", "b"], ["a", "b", "c"], ["a"], ["b", "c"], ["c", "d"]])
-    return loads_snapshot(dumps_snapshot(miner), probe=probe)
+    return loads_snapshot(dumps_snapshot(miner))
 
 
 class TestRenderedLines:
-    @pytest.mark.parametrize(
-        "verb,params", [("closed_sets", {"smin": 2}), ("top_k", {"k": 3})]
-    )
-    def test_repeat_is_a_memo_hit_without_rendering(self, renders, verb, params):
-        probe = Probe()
-        miner = _loaded(probe)
-        first = query_lines(miner, verb, **params)
-        hits = probe.metrics.snapshot()["counters"].get("serving.memo.hits", 0)
-        second = query_lines(miner, verb, **params)
-        assert second == first and second is not first
-        assert len(renders) == 1
-        counters = probe.metrics.snapshot()["counters"]
-        assert counters["serving.memo.hits"] == hits + 1
+    """A family answer renders once per call, and only its own sets.
+
+    Repeats are not re-rendered by the daemon, which keeps each encoded
+    family body per generation (``tests/serving/test_server.py``).
+    """
 
     def test_distinct_parameters_render_separately(self, renders):
         miner = _loaded()

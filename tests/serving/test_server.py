@@ -15,17 +15,23 @@ The archetype deliverable of the serving daemon is its harness:
   generations produced;
 * **admission control**: an exhausted per-request budget answers 503
   with ``Retry-After`` and provably leaves the store untouched; a full
-  bounded queue answers 429.
+  bounded queue answers 429;
+* **persistent connections and the body cache**: many requests share
+  one connection byte-identically, every reason to end a connection
+  ends it, and a repeated family request is answered from its
+  generation's encoded body without running a query.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import os
 import re
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -36,6 +42,7 @@ import urllib.request
 import pytest
 
 import repro
+import repro.serving.server as server_module
 from repro.cli import EXIT_USER_ERROR, main
 from repro.kernels import available_backends
 from repro.serving import QueryServer, StreamingMiner, load_snapshot
@@ -74,6 +81,36 @@ def build_store(path, transactions=TRANSACTIONS):
 def newest_snapshot(store):
     covered, path = _list_snapshots(store)[-1]
     return covered, path
+
+
+def exchange(sock, request):
+    """Send raw request bytes; returns the answer's (status, Connection, body)."""
+    sock.sendall(request)
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    return response.status, response.getheader("Connection"), response.read()
+
+
+def count_run_query(server):
+    """Record the verb of every query the server runs on its pool."""
+    calls = []
+    original = server._run_query
+
+    def counting(hot, verb, *args):
+        calls.append(verb)
+        return original(hot, verb, *args)
+
+    server._run_query = counting
+    return calls
+
+
+def ingest_round(store, rows):
+    """Fold ``rows`` into the store: a newer snapshot generation."""
+    writer = StreamingMiner.open(store, batch_records=2)
+    for row in rows:
+        writer.ingest(row)
+    writer.close()
+    return newest_snapshot(store)
 
 
 def store_state(directory):
@@ -125,6 +162,12 @@ class ServeHarness:
                 return resp.status, dict(resp.headers), resp.read()
         except urllib.error.HTTPError as error:
             return error.code, dict(error.headers), error.read()
+
+    def connect(self, timeout=30):
+        """A keep-alive ``http.client`` connection to the server."""
+        return http.client.HTTPConnection(
+            "127.0.0.1", self.server.port, timeout=timeout
+        )
 
     def get_json(self, path, timeout=30):
         status, headers, body = self.get(path, timeout=timeout)
@@ -443,6 +486,244 @@ class TestAdmission:
             assert status == 200 and payload["lines"]
 
 
+class TestKeepAlive:
+    def test_one_connection_answers_like_closed_connections(self, harness):
+        paths = [url for _, url, _ in _DIFFERENTIAL.values()] * 3
+        conn = harness.connect()
+        try:
+            conn.connect()
+            sock = conn.sock
+            kept = []
+            for path in paths:
+                conn.request("GET", path)
+                response = conn.getresponse()
+                assert response.status == 200
+                kept.append(response.read())
+                assert conn.sock is sock, "the daemon ended the connection"
+        finally:
+            conn.close()
+        for path, body in zip(paths, kept):
+            status, headers, closed = harness.get(path)
+            assert status == 200 and headers["Connection"] == "close"
+            assert body == closed, path
+
+    @pytest.mark.parametrize(
+        "request_bytes,status",
+        [
+            (b"GET /top_k?k=2 HTTP/1.1\r\nConnection: close\r\n\r\n", 200),
+            (b"GET /top_k?k=2 HTTP/1.0\r\n\r\n", 200),
+            (
+                b"POST /support_of HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % ((1 << 20) + 1),
+                400,
+            ),
+            (b"POST /support_of HTTP/1.1\r\nContent-Length: x\r\n\r\n", 400),
+            (
+                b"GET /top_k?k=2 HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                200,
+            ),
+        ],
+        ids=["close", "http-1.0", "oversized-body", "bad-length", "chunked"],
+    )
+    def test_connection_ends_after_the_response(
+        self, harness, request_bytes, status
+    ):
+        with socket.create_connection(
+            ("127.0.0.1", harness.server.port), timeout=10
+        ) as sock:
+            assert exchange(sock, request_bytes)[:2] == (status, "close")
+            assert sock.recv(1) == b""  # the daemon closed its end
+
+    def test_http10_keep_alive_keeps_the_connection(self, harness):
+        request = (
+            b"GET /support_of?items=1 HTTP/1.0\r\n"
+            b"Connection: keep-alive\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", harness.server.port), timeout=10
+        ) as sock:
+            answers = [exchange(sock, request) for _ in range(3)]
+        assert [answer[:2] for answer in answers] == [(200, "keep-alive")] * 3
+
+    def test_idle_connection_ends_at_the_read_timeout(self, harness, monkeypatch):
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT", 1.0)
+        with socket.create_connection(
+            ("127.0.0.1", harness.server.port), timeout=10
+        ) as sock:
+            request = b"GET /support_of?items=1 HTTP/1.1\r\n\r\n"
+            assert exchange(sock, request)[:2] == (200, "keep-alive")
+            began = time.monotonic()
+            assert sock.recv(1) == b""
+        assert time.monotonic() - began < 5
+
+    def test_head_ends_the_connection(self, harness):
+        # A HEAD client reads no body, so the 405's body must not be left
+        # on a kept connection to pass for the next response.
+        conn = harness.connect()
+        try:
+            conn.request("HEAD", "/top_k?k=2")
+            response = conn.getresponse()
+            assert response.status == 405
+            assert response.getheader("Connection") == "close"
+            assert response.read() == b""
+            conn.request("GET", "/top_k?k=2")
+            response = conn.getresponse()
+            assert response.status == 200
+            body = response.read()
+        finally:
+            conn.close()
+        assert body == harness.get("/top_k?k=2")[2]
+
+    def test_request_stalled_in_its_headers_is_dropped(
+        self, harness, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT", 1.0)
+        calls = count_run_query(harness.server)
+        with socket.create_connection(
+            ("127.0.0.1", harness.server.port), timeout=10
+        ) as sock:
+            sock.sendall(b"GET /top_k?k=2 HTTP/1.1\r\nHost: x\r\n")
+            assert sock.recv(1) == b""  # closed at the deadline, unanswered
+        counters = harness.server.metrics.snapshot()["counters"]
+        assert calls == []
+        assert counters.get("serve.http.requests", 0) == 0
+
+    def test_kept_connection_sees_a_hot_swap(self, tmp_path):
+        store = build_store(tmp_path / "store")
+        server = QueryServer(store, poll_interval=30.0)
+        with ServeHarness(server) as handle:
+            conn = handle.connect()
+            try:
+                conn.connect()
+                sock = conn.sock
+                conn.request("GET", "/top_k?k=3")
+                before = json.loads(conn.getresponse().read())
+                gen2, path = ingest_round(store, EXTRA_ROUNDS[0])
+                assert server.reload_if_changed() is True
+                conn.request("GET", "/top_k?k=3")
+                after = json.loads(conn.getresponse().read())
+                assert conn.sock is sock
+            finally:
+                conn.close()
+        assert before["generation"] < gen2 == after["generation"]
+        assert after["lines"] == query_lines(load_snapshot(path), "top_k", k=3)
+
+
+class TestBodyCache:
+    @pytest.mark.parametrize(
+        "verb,path",
+        [("closed_sets", "/closed_sets?smin=2"), ("top_k", "/top_k?k=3")],
+    )
+    def test_repeat_is_answered_without_running_the_query(
+        self, store, verb, path
+    ):
+        server = QueryServer(store, poll_interval=30.0)
+        calls = count_run_query(server)
+        with ServeHarness(server) as handle:
+            status, _, first = handle.get(path)
+            hits = server.metrics.snapshot()["counters"].get(
+                "serving.memo.hits", 0
+            )
+            repeats = [handle.get(path) for _ in range(3)]
+            counters = server.metrics.snapshot()["counters"]
+        assert status == 200 and calls == [verb]
+        assert [(code, body) for code, _, body in repeats] == [(200, first)] * 3
+        assert counters["serving.memo.hits"] == hits + 3
+
+    def test_distinct_parameters_are_cached_apart(self, harness):
+        calls = count_run_query(harness.server)
+        paths = [
+            "/closed_sets?smin=1",
+            "/closed_sets?smin=2",
+            "/top_k?k=2",
+            "/top_k?k=2&smin=2",
+            "/top_k?k=3&smin=2",
+        ]
+        first = [harness.get(path)[2] for path in paths]
+        second = [harness.get(path)[2] for path in paths]
+        assert second == first
+        assert len(set(first)) == len(paths)
+        assert len(calls) == len(paths)
+        assert len(harness.server._hot.bodies) == len(paths)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/closed_sets?smin=2&k=4",
+            "/closed_sets?smin=2&items=x",
+            "/top_k?k=2&items=1",
+        ],
+    )
+    def test_stray_parameters_run_the_query_each_time(self, harness, path):
+        # The body echoes a parameter its verb ignores, so keeping it
+        # would hold one more copy of the answer per distinct value.
+        harness.get("/closed_sets?smin=2")
+        kept = dict(harness.server._hot.bodies)
+        calls = count_run_query(harness.server)
+        answers = [harness.get(path) for _ in range(3)]
+        assert [status for status, _, _ in answers] == [200] * 3
+        assert len({body for _, _, body in answers}) == 1
+        assert len(calls) == 3
+        assert harness.server._hot.bodies == kept
+
+    def test_cache_drops_the_oldest_past_its_bound(self, harness, monkeypatch):
+        monkeypatch.setattr(server_module, "_MAX_BODIES", 2)
+        calls = count_run_query(harness.server)
+        for k in (1, 2, 3, 3, 2):
+            assert harness.get(f"/top_k?k={k}")[0] == 200
+        assert len(calls) == 3
+        assert list(harness.server._hot.bodies) == [
+            ("top_k", 1, 2), ("top_k", 1, 3)
+        ]
+
+    def test_swap_empties_the_cache(self, tmp_path):
+        store = build_store(tmp_path / "store")
+        server = QueryServer(store, poll_interval=30.0)
+        calls = count_run_query(server)
+        with ServeHarness(server) as handle:
+            handle.get("/closed_sets?smin=2")
+            handle.get("/closed_sets?smin=2")
+            assert len(calls) == 1
+            gen2, path = ingest_round(store, EXTRA_ROUNDS[1])
+            assert server.reload_if_changed() is True
+            status, _, after = handle.get_json("/closed_sets?smin=2")
+        assert status == 200 and len(calls) == 2
+        assert after["generation"] == gen2
+        assert after["lines"] == query_lines(
+            load_snapshot(path), "closed_sets", smin=2
+        )
+
+    def test_hit_while_saturated_answers_429(self, store):
+        server = QueryServer(
+            store, max_inflight=1, max_queue=0, poll_interval=30.0
+        )
+        release = threading.Event()
+        entered = threading.Event()
+        original = server._run_query
+
+        def blocking(hot, verb, *args):
+            if verb == "support_of":
+                entered.set()
+                release.wait(30)
+            return original(hot, verb, *args)
+
+        server._run_query = blocking
+        blocked = []
+        with ServeHarness(server) as handle:
+            assert handle.get("/top_k?k=2")[0] == 200  # now cached
+            blocker = threading.Thread(
+                target=lambda: blocked.append(handle.get("/support_of?items=1"))
+            )
+            blocker.start()
+            assert entered.wait(10)
+            status, headers, _ = handle.get("/top_k?k=2")
+            release.set()
+            blocker.join(30)
+        assert not blocker.is_alive()
+        assert status == 429 and "Retry-After" in headers
+        assert blocked and blocked[0][0] == 200
+
+
 class TestOperationalEndpoints:
     def test_metrics_exposes_per_endpoint_latency(self, harness):
         for path in ("/top_k?k=2", "/support_of?items=1", "/closed_sets"):
@@ -459,6 +740,29 @@ class TestOperationalEndpoints:
             "repro_serve_load_count_total",
         ):
             assert name in text, name
+
+    def test_request_phases_and_connections(self, store):
+        server = QueryServer(store, poll_interval=30.0)
+        with ServeHarness(server) as handle:
+            conn = handle.connect()
+            try:
+                for _ in range(2):  # a miss, then a hit
+                    conn.request("GET", "/closed_sets?smin=2")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    response.read()
+            finally:
+                conn.close()
+        # stop() waited for the connection, so every phase is recorded.
+        snapshot = server.metrics.snapshot()
+        assert snapshot["counters"]["serve.http.connections"] == 1
+        counts = {
+            phase: snapshot["histograms"][f"serve.phase.{phase}.seconds"]["count"]
+            for phase in ("read", "admit", "engine", "encode", "write")
+        }
+        assert counts == {
+            "read": 2, "admit": 2, "engine": 1, "encode": 1, "write": 2
+        }
 
     def test_healthz_reports_store_and_server_state(self, store, harness):
         status, _, payload = harness.get_json("/healthz")
@@ -496,7 +800,9 @@ class TestCliLifecycle:
     def test_bad_workers_exits_2(self, store, capsys):
         assert main(["serve", store, "--workers", "0"]) == EXIT_USER_ERROR
 
-    def test_sigterm_shuts_down_cleanly(self, store):
+    @staticmethod
+    def spawn(store):
+        """A ``repro-mine serve`` subprocess and its port."""
         src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
@@ -506,11 +812,23 @@ class TestCliLifecycle:
             text=True,
             env=env,
         )
+        line = proc.stderr.readline()
+        match = re.search(r"http://[\d.]+:(\d+)", line)
+        if not match:
+            TestCliLifecycle.reap(proc)
+            pytest.fail(f"no address line, got {line!r}")
+        return proc, int(match.group(1))
+
+    @staticmethod
+    def reap(proc):
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stderr.close()
+
+    def test_sigterm_shuts_down_cleanly(self, store):
+        proc, port = self.spawn(store)
         try:
-            line = proc.stderr.readline()
-            match = re.search(r"http://[\d.]+:(\d+)", line)
-            assert match, f"no address line, got {line!r}"
-            port = int(match.group(1))
             with urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/healthz", timeout=10
             ) as resp:
@@ -518,6 +836,20 @@ class TestCliLifecycle:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+            self.reap(proc)
+
+    def test_sigterm_with_an_idle_kept_connection(self, store):
+        proc, port = self.spawn(store)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.request("GET", "/top_k?k=2")
+            response = conn.getresponse()
+            response.read()
+            assert response.getheader("Connection") == "keep-alive"
+            proc.send_signal(signal.SIGTERM)
+            # Well inside the 10 s idle timeout: stop() closes the
+            # idle connection itself.
+            assert proc.wait(timeout=5) == 0
+        finally:
+            conn.close()
+            self.reap(proc)

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from repro.core.incremental import IncrementalMiner
+from repro.data.database import TransactionDatabase
+from repro.obs import Probe
 from repro.serving import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -15,6 +17,8 @@ from repro.serving import (
     loads_snapshot,
     save_snapshot,
 )
+
+from ..conftest import backend_params
 
 
 def _random_miner(seed, n_rows=40, universe="abcdefg", density=0.45):
@@ -125,6 +129,26 @@ class TestLazyLoad:
         assert restored._tree is not None  # delta dwarfs history
         reference = _random_miner(8, n_rows=10)
         reference.extend(delta)
+        assert dict(restored.closed_sets(1)) == dict(reference.closed_sets(1))
+
+    @pytest.mark.parametrize("backend", backend_params())
+    def test_rebuilt_tree_runs_on_the_miners_kernel(self, backend):
+        rng = random.Random(10)
+        rows = [[l for l in "abcdefg" if rng.random() < 0.45] for _ in range(50)]
+        base = IncrementalMiner()
+        base.extend(rows[:10])
+        probe = Probe()
+        restored = loads_snapshot(
+            dumps_snapshot(base), backend=backend, probe=probe
+        )
+        restored.extend(rows[10:])  # 40 rows onto 10: the tree is rebuilt
+        assert restored._tree is not None
+        assert restored._tree._kernel is restored.kernel
+        counters = probe.metrics.snapshot()["counters"]
+        assert counters["kernel.intersect_count_many_bounded.calls"] > 0
+        reference = IncrementalMiner.from_database(
+            TransactionDatabase.from_iterable(rows), backend=backend
+        )
         assert dict(restored.closed_sets(1)) == dict(reference.closed_sets(1))
 
     def test_queries_without_tree(self):
