@@ -49,10 +49,12 @@ that recorded the baseline.
 Besides the synthetic dense fixture, the suite times one end-to-end
 case, ``ista_descent``: IsTa's prefix-tree repository built over the
 yeast gate fixture (``benchmarks/fixtures/yeast_gate.fimi`` at
-``smin=5``).  Its ``bitint`` row is the node-at-a-time *recursive*
-descent and the other backend rows run the level-batched bounded
-descent, so the ``speedup:`` ratios measure batched-over-recursive —
-the gate that keeps the batched restructuring an actual win.
+``smin=5``).  Each row replays the stream through the repository that
+backend's IsTa runs: the ``bitint`` row is the node-at-a-time
+*recursive* descent, the ``numpy`` row the level-batched bounded
+descent and the ``native`` row the C repository, so the ``speedup:``
+ratios measure each form against the recursion — the gate that keeps
+both an actual win.
 
 One *derived* case, ``intersection_family``, carries per-backend
 geometric means over the three ``intersect_*`` member cases.  It is a

@@ -451,10 +451,13 @@ def run_kernel_microbench(
     ``"case_filter"`` so the baseline comparison knows the other cases
     were deliberately not run.  ``descent_masks`` (a prepared
     transaction stream, e.g. the yeast fig-5 workload) enables the
-    ``ista_descent`` case: the ``"bitint"`` row times the node-at-a-time
-    recursive prefix-tree update, every other backend row times the
-    level-batched bounded descent with that backend — so the
-    ``speedup:`` ratios read "batched descent over recursive baseline".
+    ``ista_descent`` case, each row timing the repository update that
+    backend's IsTa runs: the ``"bitint"`` row times the node-at-a-time
+    recursive prefix-tree update, the ``"native"`` row the C repository
+    (:class:`~repro.core.prefix_tree.NativeRepository`), and every other
+    row the level-batched bounded descent with that backend — so the
+    ``speedup:`` ratios read "that backend's repository update over the
+    recursive baseline".
     """
     names = list(backends) if backends is not None else available_backends()
     masks = _dense_fixture(n_rows, n_bits, density, seed)
@@ -557,16 +560,17 @@ def run_kernel_microbench(
         case_filter is None or "ista_descent" in case_filter
     ):
         # The IsTa repository-update workload: recursive node-at-a-time
-        # descent as the "bitint" reference row, level-batched bounded
-        # descent (per backend) for the others — the ratio is the
-        # batched descent's win over the pre-existing baseline.
-        from ..core.prefix_tree import PrefixTree
+        # descent as the "bitint" reference row; every other row replays
+        # the stream through the repository that backend's IsTa runs
+        # (the C repository on native, the level-batched bounded descent
+        # elsewhere) — the ratio is its win over the recursion.
+        from ..core.prefix_tree import PrefixTree, repository_for
 
         stream = list(descent_masks)
 
-        def time_descent(batched, kernel):
+        def time_descent(make):
             def call():
-                tree = PrefixTree(kernel=kernel, batched=batched)
+                tree = make()
                 for tx_mask in stream:
                     tree.add_transaction(tx_mask)
 
@@ -576,9 +580,11 @@ def run_kernel_microbench(
         for name in names:
             kernel = get_backend(name)
             if name == "bitint":
-                descent_row[name] = time_descent(False, kernel)
+                descent_row[name] = time_descent(
+                    lambda: PrefixTree(kernel=kernel, batched=False)
+                )
             else:
-                descent_row[name] = time_descent(True, kernel)
+                descent_row[name] = time_descent(lambda: repository_for(kernel))
         cases["ista_descent"] = descent_row
 
     for case, timings in cases.items():

@@ -85,6 +85,18 @@ _FLAT_DELTA_MAX = 16
 _EMPTY_MAPPING: Mapping = MappingProxyType({})
 
 
+
+#: Query answers the memo keeps per generation, the packed family aside.
+#: Keys carry client-chosen parameters (``k``, ``smin``, item sets), so
+#: past this many the oldest answer is dropped, as the daemon drops its
+#: oldest encoded body: a client cycling ``k`` holds at most this many
+#: answers until the next mutation.
+_MAX_MEMO_ANSWERS = 32
+
+#: The memo key of the resident packed family, which every point query
+#: of a generation reuses and which never counts against the bound.
+_PACKED_KEY = ("packed",)
+
 class IncrementalMiner:
     """Online closed frequent item set miner over arbitrary item labels.
 
@@ -492,7 +504,7 @@ class IncrementalMiner:
                     for mask, support in self._family_pairs(smin)
                 }
             )
-        self._memo[key] = out
+        self._remember(key, out)
         return out
 
     def support_of(self, items: Iterable[Hashable]) -> int:
@@ -536,8 +548,15 @@ class IncrementalMiner:
                 value = self._kernel.superset_max_support_bounded(
                     table, supports, mask, 1
                 )
-        self._memo[key] = value
+        self._remember(key, value)
         return value
+
+    def _remember(self, key: tuple, answer: object) -> None:
+        """Memoise a query answer, dropping the oldest past the bound."""
+        memo = self._memo
+        if len(memo) - (_PACKED_KEY in memo) >= _MAX_MEMO_ANSWERS:
+            del memo[next(old for old in memo if old != _PACKED_KEY)]
+        memo[key] = answer
 
     def _packed_family(self):
         """The flat family as a resident packed kernel table (memoised).
@@ -550,8 +569,7 @@ class IncrementalMiner:
         past the table's packed width.  The supports list is rebuilt per
         generation — supports change on every update.
         """
-        key = ("packed",)
-        packed = self._memo.get(key)
+        packed = self._memo.get(_PACKED_KEY)
         if packed is None:
             flat = self._ensure_flat()
             kernel = self._kernel
@@ -570,7 +588,7 @@ class IncrementalMiner:
             self._packed_table = table
             self._packed_len = len(flat)
             packed = (table, list(flat.values()))
-            self._memo[key] = packed
+            self._memo[_PACKED_KEY] = packed
         return packed
 
     def top_k(self, k: int, smin: int = 1) -> Tuple[Tuple[Tuple[Hashable, ...], int], ...]:
@@ -608,7 +626,7 @@ class IncrementalMiner:
                 (self._labelize(mask, ranks), support)
                 for (mask, support), _ in ranked
             )
-        self._memo[key] = out
+        self._remember(key, out)
         return out
 
     def supersets_of(
@@ -656,7 +674,7 @@ class IncrementalMiner:
             out = MappingProxyType(
                 {self._labelize(stored, ranks): supp for stored, supp in pairs}
             )
-        self._memo[key] = out
+        self._remember(key, out)
         return out
 
     # ------------------------------------------------------------------

@@ -3,7 +3,9 @@
 The cumulative intersection scheme: a prefix-tree repository holds the
 closed item sets of the processed part of the database; each new
 transaction is inserted and intersected with the whole repository in
-one combined pass (:class:`repro.core.prefix_tree.PrefixTree`).
+one combined pass (:class:`repro.core.prefix_tree.PrefixTree`, or its
+C form :class:`repro.core.prefix_tree.NativeRepository` on the
+``native`` backend).
 
 Beyond the plain scheme this implements the paper's two refinements:
 
@@ -26,7 +28,7 @@ Beyond the plain scheme this implements the paper's two refinements:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..closure.verify import refine_anytime
 from ..common import finalize, prepare_for_mining
@@ -36,7 +38,7 @@ from ..obs import resolve_probe
 from ..result import MiningResult
 from ..runtime import MiningInterrupted, RunGuard, checker
 from ..stats import OperationCounters
-from .prefix_tree import PrefixTree, PrefixTreeNode
+from .prefix_tree import repository_for
 
 __all__ = ["mine_ista"]
 
@@ -79,28 +81,36 @@ def mine_ista(
         per-transaction operation counts differ, and databases without
         duplicates pay a small grouping cost for nothing.
     batched:
-        Run the repository intersection as the level-batched bounded
-        descent (the default): each tree level is tested against the
-        transaction in one ``intersect_count_many_bounded`` kernel call
-        and sentinel-flagged subtrees are skipped wholesale.
-        ``batched=False`` keeps the node-at-a-time recursion of the C
-        original; the mined family is byte-identical either way (see
+        Picks between the two Python descents of
+        :class:`~repro.core.prefix_tree.PrefixTree`, which the
+        ``bitint`` and ``numpy`` backends run: the level-batched
+        bounded descent (the default), where each tree level is tested
+        against the transaction in one ``intersect_count_many_bounded``
+        kernel call and sentinel-flagged subtrees are skipped wholesale,
+        or, with ``batched=False``, the node-at-a-time recursion of the
+        C original.  The ``native`` backend runs the repository in C
+        (:class:`~repro.core.prefix_tree.NativeRepository`) and ignores
+        it.  The mined family is byte-identical every way (see
         :mod:`repro.core.prefix_tree`).
     counters:
         Optional :class:`~repro.stats.OperationCounters` to fill in.
     guard:
         Optional :class:`~repro.runtime.RunGuard`, polled per processed
-        transaction and inside the repository intersection recursion.
+        transaction and inside the repository intersection descent (in
+        C on ``native``, at the head of every ``isect`` sibling group).
         On interruption the current repository is salvaged through
         :func:`repro.closure.verify.refine_anytime` (only sets closed
         in the *full* database survive, with exact supports) and
         attached to the exception as an anytime result.
     backend:
         Set-algebra kernel selection (:mod:`repro.kernels`).  The
-        backend executes the per-level bounded frontier test of the
-        batched descent (sentinel skips are surfaced as
-        ``ops.kernel.early_aborts`` when a probe is attached) and the
-        remaining-occurrence sweep that seeds the pruning counters.
+        backend executes the remaining-occurrence sweep that seeds the
+        pruning counters and, on ``bitint`` and ``numpy``, the per-level
+        bounded frontier test of the batched descent (sentinel skips are
+        surfaced as ``ops.kernel.early_aborts`` when a probe is
+        attached).  A backend named ``native`` (also behind the probe's
+        kernel proxy) selects the C repository instead, which issues no
+        kernel calls.
     probe:
         Optional :class:`repro.obs.Probe` for metrics and phase traces
         (``None``, the default, adds no instrumentation).
@@ -120,7 +130,7 @@ def mine_ista(
         )
     if prune and prune_interval < 1:
         raise ValueError(f"prune_interval must be positive, got {prune_interval}")
-    tree = PrefixTree(counters, guard, kernel=kernel, batched=batched)
+    tree = repository_for(kernel, counters, guard, batched=batched)
     check = checker(guard, tree.counters)
     transactions = prepared.transactions
     n = len(transactions)
@@ -162,7 +172,7 @@ def mine_ista(
                         remaining[low.bit_length() - 1] -= weight
                         mask ^= low
                     if (index + 1) % prune_interval == 0 and processed < n:
-                        _prune_tree(tree, remaining, smin)
+                        tree.prune(remaining, smin)
         with obs.phase("report", algorithm="ista"):
             result = finalize(tree.report(smin), code_map, db, "ista", smin)
         obs.record_counters(tree.counters)
@@ -178,75 +188,3 @@ def mine_ista(
         obs.record_counters(tree.counters)
         raise
 
-
-def _prune_tree(tree: PrefixTree, remaining: List[int], smin: int) -> None:
-    """One pruning pass: splice out nodes whose item cannot keep the set alive.
-
-    A node with support ``x`` whose own item ``i`` satisfies
-    ``x + remaining[i] < smin`` heads a subtree in which every set
-    contains ``i`` with even lower support, so none of those sets can
-    become frequent *with* ``i``.  The node is spliced out: its children
-    merge into its parent (support maximum on collisions).  The maximum
-    keeps the crucial witness property: if one of the merged nodes
-    carried the exact support of a set, the merged node still does,
-    which is what guarantees that closed sets re-emerging from later
-    intersections obtain their exact supports (see the module
-    docstring and ``tests/core/test_ista.py``).
-    """
-    counters = tree.counters
-    stack = [tree._root]
-    while stack:
-        parent = stack.pop()
-        # Splice deficient children until none remain.  Spliced-in
-        # grandchildren can themselves be deficient, hence the fixpoint
-        # loop rather than a single sweep.
-        changed = True
-        while changed:
-            changed = False
-            for item, child in list(parent.children.items()):
-                if child.supp + remaining[item] >= smin:
-                    continue
-                counters.items_eliminated += 1
-                counters.nodes_pruned += 1
-                del parent.children[item]
-                tree._n_nodes -= 1
-                for grandchild in child.children.values():
-                    existing = parent.children.get(grandchild.item)
-                    if existing is None:
-                        parent.children[grandchild.item] = grandchild
-                        grandchild.parent = parent
-                    else:
-                        _merge_nodes(existing, grandchild, tree)
-                changed = True
-        stack.extend(parent.children.values())
-
-
-def _merge_nodes(target: PrefixTreeNode, source: PrefixTreeNode, tree: PrefixTree) -> None:
-    """Merge ``source`` into ``target`` (same item): supports max, children union.
-
-    Both nodes now represent the same reduced item set; each stored
-    support counts transactions that contained one of the original
-    supersets, so the maximum remains a lower bound of the reduced
-    set's true support.  Iterative, because subtrees can be as deep as
-    the longest transaction.
-    """
-    stack = [(target, source)]
-    counters = tree.counters
-    while stack:
-        into, from_ = stack.pop()
-        tree._n_nodes -= 1
-        counters.nodes_merged += 1
-        if from_.supp > into.supp:
-            into.supp = from_.supp
-            into.step = from_.step
-        # Keep the subtree-item summary a superset of the merged
-        # subtree; splice ancestors retain stale bits, which only ever
-        # costs a missed batched-descent skip, never a wrong one.
-        into.below |= from_.below
-        for grandchild in from_.children.values():
-            existing = into.children.get(grandchild.item)
-            if existing is None:
-                into.children[grandchild.item] = grandchild
-                grandchild.parent = into
-            else:
-                stack.append((existing, grandchild))

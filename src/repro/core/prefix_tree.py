@@ -1,4 +1,15 @@
-"""The IsTa repository prefix tree (Figures 1-4 of the paper).
+"""The IsTa repository prefix tree (Figures 1-4 of the paper), in two forms.
+
+:class:`PrefixTree` holds Python node objects and is the reference: the
+``bitint`` and ``numpy`` backends run it, and installs without a
+compiler have only it.  :class:`NativeRepository` runs the same rules
+over the C extension's struct-of-arrays tree
+(``repro.kernels._native.Repository``), one native call per
+transaction, pruning pass or report; the ``native`` backend runs it.
+Both offer the driver the same surface — ``add_transaction``,
+``prune``, ``report`` — and :func:`repository_for` picks one by the
+backend's name.  The rest of this docstring describes
+:class:`PrefixTree`; ``_native.c`` documents the C form.
 
 The tree stores the family of closed item sets of the already-processed
 part of the database.  A node holds the *last* (smallest) item of the
@@ -44,14 +55,15 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..data import itemset
 from ..kernels import BELOW_BOUND, resolve_backend
+from ..kernels.native import _native
 from ..runtime import RunGuard, checker
 from ..stats import OperationCounters
 
-__all__ = ["PrefixTreeNode", "PrefixTree"]
+__all__ = ["PrefixTreeNode", "PrefixTree", "NativeRepository", "repository_for"]
 
 #: Stand-in flag stream once adaptive frontier testing has switched off:
 #: every frame reads as a pass, no per-level list is materialised.
@@ -568,6 +580,81 @@ class PrefixTree:
             counters.support_updates += updates
 
     # ------------------------------------------------------------------
+    # Item elimination pruning (Section 3.2)
+    # ------------------------------------------------------------------
+
+    def prune(self, remaining: Sequence[int], smin: int) -> None:
+        """One pruning pass: splice out nodes whose item cannot keep the set alive.
+
+        A node with support ``x`` whose own item ``i`` satisfies
+        ``x + remaining[i] < smin`` heads a subtree in which every set
+        contains ``i`` with even lower support, so none of those sets can
+        become frequent *with* ``i``.  The node is spliced out: its children
+        merge into its parent (support maximum on collisions).  The maximum
+        keeps the crucial witness property: if one of the merged nodes
+        carried the exact support of a set, the merged node still does,
+        which is what guarantees that closed sets re-emerging from later
+        intersections obtain their exact supports (see the module
+        docstring of :mod:`repro.core.ista` and ``tests/core/test_ista.py``).
+        """
+        counters = self.counters
+        stack = [self._root]
+        while stack:
+            parent = stack.pop()
+            # Splice deficient children until none remain.  Spliced-in
+            # grandchildren can themselves be deficient, hence the fixpoint
+            # loop rather than a single sweep.
+            changed = True
+            while changed:
+                changed = False
+                for item, child in list(parent.children.items()):
+                    if child.supp + remaining[item] >= smin:
+                        continue
+                    counters.items_eliminated += 1
+                    counters.nodes_pruned += 1
+                    del parent.children[item]
+                    self._n_nodes -= 1
+                    for grandchild in child.children.values():
+                        existing = parent.children.get(grandchild.item)
+                        if existing is None:
+                            parent.children[grandchild.item] = grandchild
+                            grandchild.parent = parent
+                        else:
+                            self._merge_nodes(existing, grandchild)
+                    changed = True
+            stack.extend(parent.children.values())
+
+    def _merge_nodes(self, target: PrefixTreeNode, source: PrefixTreeNode) -> None:
+        """Merge ``source`` into ``target`` (same item): supports max, children union.
+
+        Both nodes now represent the same reduced item set; each stored
+        support counts transactions that contained one of the original
+        supersets, so the maximum remains a lower bound of the reduced
+        set's true support.  Iterative, because subtrees can be as deep as
+        the longest transaction.
+        """
+        stack = [(target, source)]
+        counters = self.counters
+        while stack:
+            into, from_ = stack.pop()
+            self._n_nodes -= 1
+            counters.nodes_merged += 1
+            if from_.supp > into.supp:
+                into.supp = from_.supp
+                into.step = from_.step
+            # Keep the subtree-item summary a superset of the merged
+            # subtree; splice ancestors retain stale bits, which only ever
+            # costs a missed batched-descent skip, never a wrong one.
+            into.below |= from_.below
+            for grandchild in from_.children.values():
+                existing = into.children.get(grandchild.item)
+                if existing is None:
+                    into.children[grandchild.item] = grandchild
+                    grandchild.parent = into
+                else:
+                    stack.append((existing, grandchild))
+
+    # ------------------------------------------------------------------
     # Reporting (Figure 4)
     # ------------------------------------------------------------------
 
@@ -714,6 +801,115 @@ class PrefixTree:
                 best = level
             stack.extend((child, level + 1) for child in node.children.values())
         return best
+
+
+#: OperationCounters fields filled from ``Repository.drain()``, in its order.
+_DRAINED = (
+    "node_visits",
+    "intersections",
+    "nodes_created",
+    "support_updates",
+    "nodes_pruned",
+    "items_eliminated",
+    "nodes_merged",
+    "reports",
+)
+
+
+class NativeRepository:
+    """IsTa's repository in C: ``repro.kernels._native.Repository``.
+
+    The same driver surface as :class:`PrefixTree` —
+    :meth:`add_transaction`, :meth:`prune`, :meth:`report` — over the
+    extension's struct-of-arrays tree (siblings in descending item
+    order, as in the paper's C original).  Each call is one native call:
+    a transaction's path insertion and its whole Figure 2 ``isect`` pass,
+    one pruning splice pass, or the whole Figure 4 report.  The guard's
+    check callable is passed into the descent, which polls it at the
+    head of every ``isect`` sibling group, as the recursion does.
+
+    The C side counts its work and :meth:`_drain` adds it to
+    ``counters`` after every call, an interrupted one included.
+    ``nodes_created`` equals the recursion's count; ``intersections``
+    and ``support_updates`` never exceed it (see the comment above
+    ``Repository`` in ``_native.c``).
+    """
+
+    __slots__ = ("_repo", "counters", "_check")
+
+    def __init__(
+        self,
+        counters: Optional[OperationCounters] = None,
+        guard: Optional[RunGuard] = None,
+    ) -> None:
+        if _native is None:
+            raise RuntimeError("the native extension is not built")
+        self._repo = _native.Repository()
+        self.counters = counters if counters is not None else OperationCounters()
+        self._check = checker(guard, self.counters) if guard is not None else None
+
+    @property
+    def n_nodes(self) -> int:
+        """Number of nodes excluding the root."""
+        return self._repo.n_nodes
+
+    @property
+    def step(self) -> int:
+        """Index (1-based) of the last processed transaction."""
+        return self._repo.step
+
+    def add_transaction(self, mask: int, weight: int = 1) -> None:
+        """:meth:`PrefixTree.add_transaction`, as one native call."""
+        if weight < 1:
+            raise ValueError(f"weight must be at least 1, got {weight}")
+        try:
+            self._repo.add(
+                mask.to_bytes((mask.bit_length() + 7) // 8, "little"),
+                weight,
+                self._check,
+            )
+        finally:
+            self._drain()
+        self.counters.observe_repository_size(self._repo.n_nodes)
+
+    def prune(self, remaining: Sequence[int], smin: int) -> None:
+        """:meth:`PrefixTree.prune`'s splice-and-merge rule, as one native call."""
+        try:
+            self._repo.prune(remaining, smin)
+        finally:
+            self._drain()
+
+    def report(self, smin: int) -> Iterator[Tuple[int, int]]:
+        """:meth:`PrefixTree.report`'s ``(mask, support)`` pairs."""
+        try:
+            pairs = self._repo.report(smin)
+        finally:
+            self._drain()
+        return iter(pairs)
+
+    def _drain(self) -> None:
+        counters = self.counters
+        for field, amount in zip(_DRAINED, self._repo.drain()):
+            if amount:
+                setattr(counters, field, getattr(counters, field) + amount)
+
+
+def repository_for(
+    kernel,
+    counters: Optional[OperationCounters] = None,
+    guard: Optional[RunGuard] = None,
+    batched: bool = True,
+):
+    """The IsTa repository the resolved backend runs.
+
+    The ``native`` backend gets :class:`NativeRepository`; the others
+    get :class:`PrefixTree` on ``kernel`` (``batched`` picks between its
+    two Python descents).  The test is the backend's name, which
+    survives the probe's kernel proxy and other forwarding wrappers.
+    """
+    if kernel.name == "native" and _native is not None:
+        return NativeRepository(counters, guard)
+    return PrefixTree(counters, guard, kernel=kernel, batched=batched)
 
 
 def _descending_items(mask: int) -> Iterator[int]:

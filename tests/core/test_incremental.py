@@ -132,3 +132,35 @@ class TestQueries:
         miner.add(["a"])
         assert miner.n_transactions == 2
         assert miner.closed_sets(1) == {("a",): 1}
+
+
+class TestMemoBound:
+    def test_distinct_top_k_queries_keep_a_bounded_memo(self):
+        from repro.core.incremental import _MAX_MEMO_ANSWERS, _PACKED_KEY
+        from repro.obs import Probe
+
+        from repro.serving.snapshot import dumps_snapshot, loads_snapshot
+
+        source = IncrementalMiner()
+        source.extend([["a", "b"], ["a", "b", "c"], ["b", "c"], ["c", "d"]])
+        probe = Probe()
+        miner = loads_snapshot(dumps_snapshot(source), probe=probe)
+        # A point query first: a loaded miner answers it from the packed
+        # family, which then sits in the memo too.
+        assert miner.support_of(["b"]) == 3
+        generation = miner.generation
+        for k in range(1, 401):
+            miner.top_k(k)
+        assert miner.generation == generation
+        answers = [key for key in miner._memo if key != _PACKED_KEY]
+        assert len(answers) <= _MAX_MEMO_ANSWERS == 32
+        assert ("top_k", 400, 1) in miner._memo
+        assert ("top_k", 1, 1) not in miner._memo
+        assert _PACKED_KEY in miner._memo
+
+        def hits():
+            return probe.metrics.snapshot()["counters"].get("serving.memo.hits", 0)
+
+        before = hits()
+        miner.top_k(400)
+        assert hits() == before + 1

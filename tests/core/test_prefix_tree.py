@@ -295,7 +295,12 @@ class TestBatchedDescent:
         assert PrefixTree()._batched is True
 
     def test_sentinel_skips_surface_as_early_aborts(self):
-        """mine_ista + probe: the bounded frontier test lands sentinels."""
+        """mine_ista + probe: the bounded frontier test lands sentinels.
+
+        Pinned to ``bitint``: the batched descent is the Python
+        repository's, and a ``native`` run takes the C repository,
+        which issues no kernel calls.
+        """
         from repro.core.ista import mine_ista
         from repro.data.database import TransactionDatabase
         from repro.obs import Probe
@@ -310,6 +315,6 @@ class TestBatchedDescent:
             rows += [[8, 9, 10, 11, 12], [8, 9, 10, 11], [9, 10, 11, 12]]
         db = TransactionDatabase.from_iterable(rows, item_order=list(range(13)))
         probe = Probe()
-        mine_ista(db, 2, probe=probe)
+        mine_ista(db, 2, probe=probe, backend="bitint")
         metrics = probe.metrics.snapshot()
         assert metrics["counters"]["ops.kernel.early_aborts"] > 0

@@ -1,6 +1,5 @@
 """White-box tests of the IsTa repository pruning (splice-and-merge)."""
 
-from repro.core.ista import _merge_nodes, _prune_tree
 from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
 
 A, B, C, D = (1 << i for i in range(4))
@@ -19,7 +18,7 @@ class TestSplice:
         # node {c,a} has supp 1; with no remaining occurrences of a and
         # smin 2 it can never become frequent.
         remaining = [0, 5, 5, 5]
-        _prune_tree(tree, remaining, smin=2)
+        tree.prune(remaining, smin=2)
         assert tree.find(C | A) is None
         assert tree.find(C) is not None
 
@@ -27,7 +26,7 @@ class TestSplice:
         # path c -> b -> a; b deficient: {c,b,a} should collapse to {c,a}
         tree = build_tree(C | B | A)
         remaining = [5, 0, 5, 5]
-        _prune_tree(tree, remaining, smin=2)
+        tree.prune(remaining, smin=2)
         assert tree.find(C | B) is None
         node = tree.find(C | A)
         assert node is not None
@@ -38,7 +37,7 @@ class TestSplice:
         # merges the a-under-b node into the a-under-c node: max wins.
         before = tree.find(C | A).supp
         remaining = [9, 0, 9, 9]
-        _prune_tree(tree, remaining, smin=3)
+        tree.prune(remaining, smin=3)
         node = tree.find(C | A)
         assert node is not None
         assert node.supp == before == 3
@@ -46,13 +45,13 @@ class TestSplice:
     def test_healthy_nodes_untouched(self):
         tree = build_tree(C | A, C | A)
         nodes_before = tree.n_nodes
-        _prune_tree(tree, [9, 9, 9, 9], smin=2)
+        tree.prune([9, 9, 9, 9], smin=2)
         assert tree.n_nodes == nodes_before
 
     def test_node_count_consistent_after_splice(self):
         tree = build_tree(D | C | B | A, D | B)
         remaining = [0, 0, 0, 0]
-        _prune_tree(tree, remaining, smin=100)
+        tree.prune(remaining, smin=100)
         # everything is deficient: the tree must be empty
         assert tree.n_nodes == 0
         assert list(tree.report(1)) == []
@@ -63,7 +62,7 @@ class TestSplice:
         # both b and a deficient: after splicing b, the spliced-in a
         # node must go as well.
         remaining = [0, 0, 9, 9]
-        _prune_tree(tree, remaining, smin=2)
+        tree.prune(remaining, smin=2)
         assert tree.find(C) is not None
         assert tree.find(C | A) is None
         assert tree.find(C | B) is None
@@ -87,7 +86,7 @@ class TestMergeNodes:
         left = chain(supp=1)
         right = chain(supp=2)
         tree._n_nodes = 2 * (depth + 1)
-        _merge_nodes(left, right, tree)
+        tree._merge_nodes(left, right)
         assert left.supp == 2
         node = left
         while node.children:
